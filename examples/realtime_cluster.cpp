@@ -1,31 +1,84 @@
-// The same protocol, off the simulator: an 8-brick 5-of-8 group running on
-// a wall-clock event loop, with four concurrent client threads doing real
-// blocking I/O while a brick crashes and recovers underneath them.
+// The same protocol, off the simulator: eight BrickServers (5-of-8) on real
+// loopback UDP, one VolumeClient coordinating for four application threads
+// doing blocking I/O, while a brick crashes and restarts underneath them.
 //
-// Swap runtime::ThreadedCluster's in-process link for sockets + the wire
-// codec (core/wire.h) and this is the process layout of a real FAB brick.
+// Each BrickServer is exactly what a `brickd` process runs; here all eight
+// live in this process, their stores under $TMPDIR. The crash is a stop and
+// teardown (socket closed, volatile state gone), the restart a fresh server
+// on the same port that recovers from the brick's journal.
+#include <stdlib.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "runtime/threaded_cluster.h"
+#include "fab/volume_client.h"
+#include "runtime/brick_server.h"
+
+namespace {
+
+using namespace fabec;
+
+constexpr std::uint32_t kN = 8;
+constexpr std::uint32_t kM = 5;
+constexpr std::size_t kBlockSize = 4096;
+
+runtime::BrickConfig brick_config(std::uint32_t id, std::uint16_t port,
+                                  const std::string& dir) {
+  runtime::BrickConfig config;
+  config.brick_id = id;
+  config.n = kN;
+  config.m = kM;
+  config.total_bricks = kN;
+  config.block_size = kBlockSize;
+  config.listen = {"127.0.0.1", port};
+  config.store_path = dir + "/brick" + std::to_string(id);
+  return config;
+}
+
+std::unique_ptr<runtime::BrickServer> boot(const runtime::BrickConfig& config) {
+  auto server = std::make_unique<runtime::BrickServer>(config, config.brick_id);
+  std::string error;
+  if (!server->init(&error)) {
+    std::fprintf(stderr, "brick %u: %s\n", config.brick_id, error.c_str());
+    std::exit(1);
+  }
+  server->start();
+  return server;
+}
+
+}  // namespace
 
 int main() {
-  using namespace fabec;
+  const char* tmp = std::getenv("TMPDIR");
+  std::string dir = std::string(tmp ? tmp : "/tmp") + "/fab-realtime-XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
 
-  runtime::ThreadedClusterConfig config;
-  config.n = 8;
-  config.m = 5;
-  config.block_size = 4096;
-  config.link_delay = sim::microseconds(50);  // LAN-ish
-  runtime::ThreadedCluster cluster(config, /*seed=*/2026);
+  std::vector<std::unique_ptr<runtime::BrickServer>> bricks;
+  fab::VolumeClientConfig config;
+  for (std::uint32_t id = 0; id < kN; ++id) {
+    bricks.push_back(boot(brick_config(id, /*port=*/0, dir)));
+    config.bricks[id] = {"127.0.0.1", bricks[id]->port()};
+  }
+  config.client_id = kN;
+  config.n = kN;
+  config.m = kM;
+  config.block_size = kBlockSize;
+  config.num_blocks = 4 * kM;  // four stripes, one per client thread
+  fab::VolumeClient client(config, /*seed=*/2026);
 
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 40;
-  std::atomic<int> writes_ok{0}, reads_ok{0}, mismatches{0};
+  std::atomic<int> issued{0}, writes_ok{0}, reads_ok{0}, mismatches{0};
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -33,15 +86,13 @@ int main() {
     clients.emplace_back([&, t] {
       Rng rng(1000 + t);
       const auto stripe = static_cast<StripeId>(t);  // disjoint stripes
-      for (int i = 0; i < kOpsPerThread; ++i) {
+      for (int i = 0; i < kOpsPerThread; ++i, ++issued) {
         std::vector<Block> data;
-        for (int j = 0; j < 5; ++j)
-          data.push_back(random_block(rng, config.block_size));
-        const auto coord = static_cast<ProcessId>(rng.next_below(8));
-        if (!cluster.write_stripe(coord, stripe, data)) continue;
+        for (std::uint32_t j = 0; j < kM; ++j)
+          data.push_back(random_block(rng, kBlockSize));
+        if (!client.write_stripe(stripe, data)) continue;
         ++writes_ok;
-        const auto seen = cluster.read_stripe(
-            static_cast<ProcessId>(rng.next_below(8)), stripe);
+        const auto seen = client.read_stripe(stripe);
         if (!seen.has_value()) continue;
         ++reads_ok;
         if (*seen != data) ++mismatches;
@@ -49,13 +100,20 @@ int main() {
     });
   }
 
-  // Meanwhile: kill brick 6, bring it back. Clients never notice.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Meanwhile: crash brick 6 a quarter of the way in, bring it back at the
+  // halfway mark. The clients never notice.
+  auto wait_for_issued = [&](int target) {
+    while (issued.load() < target)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  wait_for_issued(kThreads * kOpsPerThread / 4);
   std::printf("crashing brick 6 under load...\n");
-  cluster.crash(6);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  std::printf("recovering brick 6...\n");
-  cluster.recover_brick(6);
+  const std::uint16_t port = bricks[6]->port();
+  bricks[6]->stop();
+  bricks[6].reset();
+  wait_for_issued(kThreads * kOpsPerThread / 2);
+  std::printf("restarting brick 6 from its journal...\n");
+  bricks[6] = boot(brick_config(6, port, dir));
 
   for (auto& c : clients) c.join();
   const auto wall_ms =
@@ -63,7 +121,12 @@ int main() {
           std::chrono::steady_clock::now() - wall_start)
           .count();
 
-  const auto stats = cluster.total_coordinator_stats();
+  const auto stats = client.coordinator_stats();
+  client.close();
+  const auto replayed = bricks[6]->stats().journal_replayed;
+  bricks.clear();
+  std::filesystem::remove_all(dir);
+
   std::printf("\n%d client threads x %d ops in %lld ms of real time\n",
               kThreads, kOpsPerThread, static_cast<long long>(wall_ms));
   std::printf("writes ok: %d   reads ok: %d   read/write mismatches: %d\n",
@@ -73,5 +136,7 @@ int main() {
               static_cast<unsigned long long>(stats.stripe_reads),
               static_cast<unsigned long long>(stats.recoveries_started),
               static_cast<unsigned long long>(stats.aborts));
+  std::printf("brick 6 replayed %llu journal records on restart\n",
+              static_cast<unsigned long long>(replayed));
   return mismatches.load() == 0 ? 0 : 1;
 }

@@ -14,8 +14,8 @@
 namespace fabec::runtime {
 namespace {
 
-// Same limits as UdpTransport: [u32 from][u32 to] envelope, and a datagram
-// budget under the 64 KB UDP ceiling.
+// A [u32 from][u32 to] envelope, and a datagram budget under the 64 KB UDP
+// ceiling.
 constexpr std::size_t kEnvelopeBytes = 8;
 constexpr std::size_t kMaxDatagram = 63 * 1024;
 
@@ -62,10 +62,9 @@ DatagramMux::DatagramMux(EpollLoop* loop, ProcessId self,
   const int buf = 4 * 1024 * 1024;
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &buf, sizeof buf);
-  // A restarted brickd rebinds its advertised port while the old socket's
-  // address may linger; REUSEADDR makes the rebind race-free.
-  const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  // The port is exclusive: no SO_REUSEADDR, which on Linux lets a second
+  // live UDP socket bind it and take its unicast traffic. UDP has no
+  // TIME_WAIT, so a restarted brick rebinds its reaped predecessor's port.
   const auto addr = to_sockaddr(listen);
   FABEC_CHECK_MSG(addr.has_value(), "listen address is not a dotted quad");
   FABEC_CHECK_MSG(::bind(fd_, reinterpret_cast<const sockaddr*>(&*addr),
@@ -158,8 +157,8 @@ bool DatagramMux::send_frame(ProcessId to,
     writer.put_u32(self_);
     writer.put_u32(to);
     core::FrameBuilder builder(datagram);
-    // Greedy fill, as in UdpTransport: evict the message that would
-    // overflow and start the next fragment with it.
+    // Greedy fill: evict the message that would overflow and start the
+    // next fragment with it.
     while (i < msgs.size()) {
       const std::size_t mark = builder.mark();
       builder.add(msgs[i]);

@@ -1,14 +1,12 @@
 // Datagram multiplexer: one UDP socket carrying all of a process's
 // protocol traffic, driven by an EpollLoop.
 //
-// Where UdpTransport binds one loopback socket per hosted brick and decodes
-// on a dedicated receive thread, the mux is the multi-process shape: one
-// socket per PROCESS (a brickd hosts one brick; a client hosts none),
+// One socket per PROCESS (a brickd hosts one brick; a client hosts none),
 // readable-event decoding inline on the loop thread, and real remote
-// addresses. The wire format is unchanged — [u32 from][u32 to] routing
-// envelope followed by either a singleton message encoding (core/wire.h)
-// or a batch frame (core/frame.h) — so mux and UdpTransport processes could
-// even interoperate on one cluster.
+// addresses. The wire format is a [u32 from][u32 to] routing envelope
+// followed by either a singleton message encoding (core/wire.h) or a batch
+// frame (core/frame.h). The bound port is exclusive: a second mux binding
+// a live mux's port fails rather than sharing it.
 //
 // Addressing is hybrid:
 //   - static peers (set_peer / set_peers): the cluster layout from the

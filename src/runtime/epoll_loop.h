@@ -1,9 +1,7 @@
-// Epoll-based socket event loop: the deployment-grade sibling of EventLoop.
+// Epoll-based socket event loop: the one wall-clock runtime.
 //
-// EventLoop serializes protocol work on one thread but knows nothing about
-// file descriptors, so the UDP transport needs a separate receive thread
-// and a thread hop per datagram. EpollLoop folds both roles into a single
-// thread: one epoll instance multiplexes readable sockets, an eventfd wakes
+// EpollLoop serializes protocol work and socket I/O on a single thread:
+// one epoll instance multiplexes readable sockets, an eventfd wakes
 // the loop for cross-thread posts, and a timer queue drives the protocol's
 // retransmit/deadline machinery — datagrams are decoded and handled on the
 // same thread that owns all protocol state, with no hop and no lock on the

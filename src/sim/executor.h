@@ -3,7 +3,7 @@
 // The coordinator's state machines need exactly three things — deferred
 // execution, cancellation, and a random stream. Abstracting them lets the
 // identical protocol code run under the deterministic virtual-time
-// Simulator (tests, benches) and under the wall-clock runtime::EventLoop
+// Simulator (tests, benches) and under the wall-clock runtime::EpollLoop
 // (src/runtime) without a single #ifdef: the algorithm is asynchronous by
 // construction (§2), so nothing above this interface may depend on which
 // clock drives it.

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,17 @@ TEST_P(KernelsTest, MulSliceInPlaceAllowed) {
 std::string KernelName(const ::testing::TestParamInfo<const Kernels*>& info) {
   return info.param->name;
 }
+
+}  // namespace
+
+// Print a variant by name, not by address: gtest puts the printed parameter
+// into every listed case ("# GetParam() = ..."), and ctest's discovered test
+// names carry it, so an address would rename the cases on every build. It
+// sits in fabec::gf, outside the anonymous namespace, so argument-dependent
+// lookup on Kernels finds it.
+void PrintTo(const Kernels* k, std::ostream* os) { *os << k->name; }
+
+namespace {
 
 INSTANTIATE_TEST_SUITE_P(AllCompiledVariants, KernelsTest,
                          ::testing::ValuesIn(compiled_kernels()),

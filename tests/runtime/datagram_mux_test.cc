@@ -1,5 +1,5 @@
 // DatagramMux: singleton and frame datagrams between two real UDP sockets,
-// learned-peer reply addressing, endpoint parsing.
+// learned-peer reply addressing, endpoint parsing, exclusive ports.
 #include "runtime/datagram_mux.h"
 
 #include <gtest/gtest.h>
@@ -31,6 +31,23 @@ TEST(DatagramMuxTest, ParseEndpoint) {
   EXPECT_FALSE(parse_endpoint("not-an-ip:123").has_value());
   EXPECT_FALSE(parse_endpoint("10.1.2.3:99999").has_value());
   EXPECT_FALSE(parse_endpoint("10.1.2.3:x").has_value());
+}
+
+TEST(DatagramMuxTest, SecondBindOfALivePortDies) {
+  // Ports are exclusive: a second socket on a live mux's port would take
+  // its unicast traffic, so the bind must fail loudly instead.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EpollLoop loop;
+  DatagramMux live(&loop, 1, Endpoint{"127.0.0.1", 0},
+                   [](ProcessId, std::vector<core::Message>) {});
+  const std::uint16_t port = live.local_port();
+  EXPECT_DEATH(
+      {
+        EpollLoop other;
+        DatagramMux squatter(&other, 2, Endpoint{"127.0.0.1", port},
+                             [](ProcessId, std::vector<core::Message>) {});
+      },
+      "UDP bind failed");
 }
 
 class DatagramMuxPairTest : public testing::Test {

@@ -1,5 +1,6 @@
 // EpollLoop: timers (ordering, cancellation), cross-thread posting,
-// run_sync, fd readiness callbacks, stop semantics.
+// run_sync, fd readiness callbacks, stop semantics, the clock and
+// loop-thread detection.
 #include "runtime/epoll_loop.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +31,25 @@ TEST(EpollLoopTest, RunsDueTimersInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EpollLoopTest, OrdersSameDeadlineBySubmission) {
+  EpollLoop loop;
+  loop.start();
+  std::vector<int> order;
+  std::promise<void> done;
+  loop.run_sync([&] {
+    // Scheduled back to back from the loop thread so the deadlines share a
+    // clock reading as closely as possible; ties must run FIFO.
+    for (int i = 0; i < 5; ++i)
+      loop.schedule_event(sim::milliseconds(1), [&order, &done, i] {
+        order.push_back(i);
+        if (order.size() == 5) done.set_value();
+      });
+  });
+  done.get_future().wait();
+  loop.stop();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 TEST(EpollLoopTest, CancelledTimerNeverFires) {
   EpollLoop loop;
   std::atomic<bool> fired{false};
@@ -53,6 +73,35 @@ TEST(EpollLoopTest, PostRunsOnLoopThread) {
   EXPECT_TRUE(on_loop.get_future().get());
   EXPECT_FALSE(loop.on_loop_thread());
   loop.stop();
+}
+
+TEST(EpollLoopTest, OnLoopThreadOnlyWhileRunningTheLoop) {
+  EpollLoop loop;
+  EXPECT_FALSE(loop.on_loop_thread());  // before start
+  loop.start();
+  bool inside = false;
+  loop.run_sync([&] { inside = loop.on_loop_thread(); });
+  EXPECT_TRUE(inside);
+  loop.stop();
+  EXPECT_FALSE(loop.on_loop_thread());
+  // Inline mode: the calling thread is the loop thread while run() lasts.
+  EpollLoop inline_loop;
+  bool inline_inside = false;
+  inline_loop.schedule_event(0, [&] {
+    inline_inside = inline_loop.on_loop_thread();
+    inline_loop.stop();
+  });
+  inline_loop.run();
+  EXPECT_TRUE(inline_inside);
+  EXPECT_FALSE(inline_loop.on_loop_thread());
+}
+
+TEST(EpollLoopTest, NowAdvances) {
+  EpollLoop loop;
+  const auto a = loop.now_ns();
+  EXPECT_GE(a, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GE(loop.now_ns() - a, 2'000'000);
 }
 
 TEST(EpollLoopTest, RunSyncReturnsAfterExecution) {

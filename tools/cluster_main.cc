@@ -5,18 +5,22 @@
 //
 //   cluster --bricks 8 --m 5 --clients 4 --ops 4000 --kills 3
 //
-// This is the acceptance harness for the multi-process deployment (and,
-// with --inproc, the loopback-UDP ThreadedCluster baseline the EXPERIMENTS
-// table compares against). Exit 0 = every history strictly linearizable;
-// exit 1 = violation or a brick failed to boot; exit 2 = usage.
+// This is the acceptance harness for the multi-process deployment. With
+// --inproc the bricks are BrickServers inside this process instead (the
+// same class brickd wraps, stores in the same run directory); everything
+// else — clients, oracle, fsck, summary — is the same code path, but no
+// brick can be SIGKILLed, so --inproc takes no --kills. Exit 0 = every
+// history strictly linearizable and every store passes fsck; exit 1 =
+// violation, damaged store, or a brick failed to boot; exit 2 = usage.
 //
 // Process choreography:
 //   1. mkdtemp a run directory; write per-brick configs with listen port 0
 //      and a port_file; fork/exec brickd per brick (logs to <dir>/brickN.log).
 //   2. Poll the port files (tmp+rename on the daemon side makes a visible
 //      file trustworthy); rewrite each config pinning the learned port, so
-//      a restarted brick re-binds the same address (SO_REUSEADDR) and the
-//      clients' static peer maps stay valid across kills.
+//      a restarted brick re-binds the same address (its predecessor is
+//      reaped first, so the port is free) and the clients' static peer
+//      maps stay valid across kills.
 //   3. Client threads each own a fab::VolumeClient (ids total_bricks+i) and
 //      replay their round-robin share of one generated workload, recording
 //      invoke/return events into per-lba histories under a global sequencer.
@@ -57,7 +61,7 @@
 #include "fab/workload.h"
 #include "hist/history.h"
 #include "runtime/brick_config.h"
-#include "runtime/threaded_cluster.h"
+#include "runtime/brick_server.h"
 
 namespace {
 
@@ -109,7 +113,8 @@ void usage(const char* argv0) {
       "4000)\n"
       "  --lbas N              logical blocks in the volume (default 120)\n"
       "  --block-size B        bytes per block (default 4096)\n"
-      "  --kills K             SIGKILL/restart injections (default 3)\n"
+      "  --kills K             SIGKILL/restart injections (default 3; 0 "
+      "with --inproc)\n"
       "  --kill-interval-ms T  gap between injections (default 600)\n"
       "  --kill-during-compaction  time kills to land while the victim is\n"
       "                        installing a snapshot (waits for its .tmp)\n"
@@ -124,8 +129,10 @@ void usage(const char* argv0) {
       "  --brickd PATH         brickd binary (default: next to this one)\n"
       "  --dir PATH            run directory (default: mkdtemp)\n"
       "  --keep                keep the run directory\n"
-      "  --inproc              loopback-UDP ThreadedCluster instead of "
-      "processes (no kills)\n"
+      "  --inproc              run the bricks as in-process BrickServers "
+      "instead of\n"
+      "                        brickd processes (no kills: --kills K>0 is an "
+      "error)\n"
       "  --json                machine-readable summary on stdout\n"
       "  --quiet               suppress progress logging\n",
       argv0);
@@ -136,6 +143,7 @@ bool parse_flags(int argc, char** argv, Flags* flags) {
     if (i + 1 >= argc) return nullptr;
     return argv[++i];
   };
+  bool kills_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const char* v = nullptr;
@@ -154,7 +162,10 @@ bool parse_flags(int argc, char** argv, Flags* flags) {
     else if (a == "--lbas" && (v = need(i))) flags->lbas = std::atoll(v);
     else if (a == "--block-size" && (v = need(i)))
       flags->block_size = std::atoll(v);
-    else if (a == "--kills" && (v = need(i))) flags->kills = std::atoi(v);
+    else if (a == "--kills" && (v = need(i))) {
+      flags->kills = std::atoi(v);
+      kills_given = true;
+    }
     else if (a == "--kill-interval-ms" && (v = need(i)))
       flags->kill_interval_ms = std::atoll(v);
     else if (a == "--kill-during-compaction")
@@ -187,11 +198,18 @@ bool parse_flags(int argc, char** argv, Flags* flags) {
     std::fprintf(stderr, "cluster: invalid geometry\n");
     return false;
   }
+  if (flags->inproc) {
+    if (kills_given && flags->kills > 0) {
+      std::fprintf(stderr, "cluster: --inproc bricks cannot be killed\n");
+      return false;
+    }
+    flags->kills = 0;
+  }
   return true;
 }
 
 // ---------------------------------------------------------------------------
-// History recording shared by the process and in-process modes.
+// History recording.
 // ---------------------------------------------------------------------------
 
 /// Thread-safe per-lba history recorder with a global event sequencer. Kills
@@ -357,6 +375,108 @@ void reap_all(std::vector<BrickProc>& bricks, bool quiet) {
   }
 }
 
+/// The brick's config; the store lives in the run directory either way.
+fabec::runtime::BrickConfig brick_config(const Flags& flags,
+                                         const std::string& dir,
+                                         ProcessId id, std::uint16_t port) {
+  fabec::runtime::BrickConfig config;
+  config.brick_id = id;
+  config.n = flags.bricks;
+  config.m = flags.m;
+  config.code = flags.code;
+  config.total_bricks = flags.bricks;
+  config.block_size = flags.block_size;
+  config.listen = {"127.0.0.1", port};
+  config.store_path = dir + "/brick" + std::to_string(id);
+  if (flags.compact_threshold != 0)
+    config.compact_threshold_bytes = flags.compact_threshold;
+  config.scrub_interval_ms = flags.scrub_interval_ms;
+  return config;
+}
+
+/// Spawns one brickd per brick and waits until each has published its
+/// port, then pins that port in its config for restarts. On failure every
+/// started brick is reaped.
+bool boot_processes(const Flags& flags, const std::string& dir,
+                    const std::string& brickd, std::vector<BrickProc>& bricks) {
+  auto config_text = [&](const BrickProc& brick, std::uint16_t port) {
+    auto config = brick_config(flags, dir, brick.id, port);
+    config.port_file = brick.port_file;
+    return config.to_text();
+  };
+  for (BrickProc& brick : bricks) {
+    const std::string base = dir + "/brick" + std::to_string(brick.id);
+    brick.config_path = base + ".conf";
+    brick.log_path = base + ".log";
+    brick.port_file = base + ".port";
+    if (!write_file(brick.config_path, config_text(brick, 0))) {
+      std::fprintf(stderr, "cluster: cannot write %s\n",
+                   brick.config_path.c_str());
+      reap_all(bricks, flags.quiet);
+      return false;
+    }
+    brick.pid = spawn_brickd(brickd, brick);
+  }
+
+  // Readiness: every port file appears, or a brick died during boot.
+  const std::int64_t boot_deadline = now_ns() + 10'000'000'000LL;
+  for (auto& brick : bricks) {
+    while (brick.port == 0) {
+      if (const auto port = read_port_file(brick.port_file)) {
+        brick.port = *port;
+        break;
+      }
+      int status = 0;
+      if (::waitpid(brick.pid, &status, WNOHANG) == brick.pid) {
+        std::fprintf(stderr,
+                     "cluster: brick %u exited during boot (see %s)\n",
+                     brick.id, brick.log_path.c_str());
+        brick.pid = -1;
+        reap_all(bricks, flags.quiet);
+        return false;
+      }
+      if (now_ns() > boot_deadline) {
+        std::fprintf(stderr, "cluster: brick %u never published its port\n",
+                     brick.id);
+        reap_all(bricks, flags.quiet);
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    // Pin the learned port so restarts of this config re-bind the same
+    // address and the clients' peer maps survive every kill.
+    if (!write_file(brick.config_path, config_text(brick, brick.port))) {
+      std::fprintf(stderr, "cluster: cannot rewrite %s\n",
+                   brick.config_path.c_str());
+      reap_all(bricks, flags.quiet);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// --inproc: the bricks as BrickServers on background loop threads, seeded
+/// as brickd seeds them.
+bool boot_inproc(const Flags& flags, const std::string& dir,
+                 std::vector<BrickProc>& bricks,
+                 std::vector<std::unique_ptr<fabec::runtime::BrickServer>>&
+                     servers) {
+  for (BrickProc& brick : bricks) {
+    auto server = std::make_unique<fabec::runtime::BrickServer>(
+        brick_config(flags, dir, brick.id, 0), brick.id + 1);
+    std::string error;
+    if (!server->init(&error)) {
+      std::fprintf(stderr, "cluster: brick %u: %s\n", brick.id,
+                   error.c_str());
+      return false;
+    }
+    server->start();
+    brick.port = server->port();
+    servers.push_back(std::move(server));
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Post-run disk verification.
 // ---------------------------------------------------------------------------
@@ -475,7 +595,7 @@ void print_summary(const Flags& flags, const Recorder& recorder,
         "  read  p50 %.0f us  p99 %.0f us  (n=%zu)\n"
         "  write p50 %.0f us  p99 %.0f us  (n=%zu)\n"
         "  strict linearizability: %s\n",
-        flags.inproc ? "(in-process loopback UDP)" : "(real processes)",
+        flags.inproc ? "(in-process bricks)" : "(real processes)",
         flags.bricks, flags.m, flags.clients,
         static_cast<unsigned long long>(flags.ops),
         static_cast<unsigned long long>(tally.ok.load()),
@@ -494,74 +614,6 @@ void print_summary(const Flags& flags, const Recorder& recorder,
           static_cast<unsigned long long>(cache.fallbacks),
           static_cast<unsigned long long>(cache.invalidations));
   }
-}
-
-// ---------------------------------------------------------------------------
-// In-process baseline (--inproc): same workload, ThreadedCluster over
-// loopback UDP, coordinators round-robined across bricks.
-// ---------------------------------------------------------------------------
-
-int run_inproc(const Flags& flags,
-               const std::vector<fabec::fab::WorkloadOp>& workload,
-               std::uint64_t num_blocks) {
-  fabec::runtime::ThreadedClusterConfig config;
-  config.n = flags.bricks;
-  config.m = flags.m;
-  config.code = flags.code;
-  config.block_size = flags.block_size;
-  config.use_udp_transport = true;
-  config.coordinator.op_deadline = fabec::sim::milliseconds(flags.deadline_ms);
-  config.coordinator.read_cache = flags.read_cache;
-  fabec::runtime::ThreadedCluster cluster(config, flags.seed);
-  fabec::fab::VolumeLayout layout(num_blocks, flags.m,
-                                  fabec::fab::Layout::kRotating);
-
-  Recorder recorder;
-  Tally tally;
-  const std::int64_t t0 = now_ns();
-  std::vector<std::thread> threads;
-  for (std::uint32_t c = 0; c < flags.clients; ++c) {
-    threads.emplace_back([&, c] {
-      const ProcessId coord = c % flags.bricks;
-      std::uint64_t counter = 0;
-      for (std::size_t i = c; i < workload.size(); i += flags.clients) {
-        const auto& op = workload[i];
-        const fabec::StripeId stripe = layout.stripe_of(op.lba);
-        const fabec::BlockIndex j = layout.index_of(op.lba);
-        const std::int64_t start = now_ns();
-        if (op.is_write) {
-          Block value = make_value(flags.block_size,
-                                   flags.bricks + c, ++counter << 8 | c);
-          const auto pending = recorder.begin_write(op.lba, value);
-          const auto outcome =
-              cluster.write_block_outcome(coord, stripe, j, std::move(value));
-          recorder.end_write(pending, outcome.ok());
-          (outcome.ok() ? tally.ok : tally.failed).fetch_add(1);
-        } else {
-          const auto pending = recorder.begin_read(op.lba);
-          const auto outcome = cluster.read_block_outcome(coord, stripe, j);
-          recorder.end_read(pending, outcome.ok()
-                                         ? std::optional<Block>(outcome.value())
-                                         : std::nullopt);
-          (outcome.ok() ? tally.ok : tally.failed).fetch_add(1);
-        }
-        recorder.record_latency(op.is_write, now_ns() - start);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = static_cast<double>(now_ns() - t0) / 1e9;
-
-  CacheTally cache;
-  const auto cstats = cluster.total_coordinator_stats();
-  cache.hits = cstats.cached_read_hits;
-  cache.misses = cstats.cached_read_misses;
-  cache.fallbacks = cstats.cached_read_fallbacks;
-  cache.invalidations = cstats.cache_invalidations;
-
-  const std::size_t violations = recorder.check();
-  print_summary(flags, recorder, tally, 0, seconds, violations, cache);
-  return violations == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -588,9 +640,7 @@ int main(int argc, char** argv) {
   const auto workload =
       fabec::fab::generate_workload(workload_config, num_blocks, rng);
 
-  if (flags.inproc) return run_inproc(flags, workload, num_blocks);
-
-  // --- run directory and brickd path ---------------------------------------
+  // --- run directory ---------------------------------------------------------
   std::string dir = flags.dir;
   if (dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");
@@ -606,89 +656,33 @@ int main(int argc, char** argv) {
     ::mkdir(dir.c_str(), 0755);
   }
 
-  std::string brickd = flags.brickd;
-  if (brickd.empty()) {
-    const std::string self = argv[0];
-    const auto slash = self.find_last_of('/');
-    brickd = (slash == std::string::npos ? std::string(".")
-                                         : self.substr(0, slash)) +
-             "/brickd";
-  }
-  if (::access(brickd.c_str(), X_OK) != 0) {
-    std::fprintf(stderr, "cluster: brickd binary not executable: %s\n",
-                 brickd.c_str());
-    return 1;
-  }
-  if (!flags.quiet)
-    std::fprintf(stderr, "cluster: run directory %s, brickd %s\n", dir.c_str(),
-                 brickd.c_str());
-
   // --- boot the bricks ------------------------------------------------------
   std::vector<BrickProc> bricks(flags.bricks);
-  auto config_for = [&](const BrickProc& brick,
-                        std::uint16_t port) -> std::string {
-    fabec::runtime::BrickConfig config;
-    config.brick_id = brick.id;
-    config.n = flags.bricks;
-    config.m = flags.m;
-    config.code = flags.code;
-    config.total_bricks = flags.bricks;
-    config.block_size = flags.block_size;
-    config.listen = {"127.0.0.1", port};
-    config.port_file = brick.port_file;
-    config.store_path = dir + "/brick" + std::to_string(brick.id);
-    if (flags.compact_threshold != 0)
-      config.compact_threshold_bytes = flags.compact_threshold;
-    config.scrub_interval_ms = flags.scrub_interval_ms;
-    return config.to_text();
-  };
-  for (std::uint32_t i = 0; i < flags.bricks; ++i) {
-    BrickProc& brick = bricks[i];
-    brick.id = i;
-    brick.config_path = dir + "/brick" + std::to_string(i) + ".conf";
-    brick.log_path = dir + "/brick" + std::to_string(i) + ".log";
-    brick.port_file = dir + "/brick" + std::to_string(i) + ".port";
-    if (!write_file(brick.config_path, config_for(brick, 0))) {
-      std::fprintf(stderr, "cluster: cannot write %s\n",
-                   brick.config_path.c_str());
+  for (std::uint32_t i = 0; i < flags.bricks; ++i) bricks[i].id = i;
+  std::vector<std::unique_ptr<fabec::runtime::BrickServer>> servers;
+  std::string brickd = flags.brickd;
+  if (flags.inproc) {
+    if (!flags.quiet)
+      std::fprintf(stderr, "cluster: run directory %s, in-process bricks\n",
+                   dir.c_str());
+    if (!boot_inproc(flags, dir, bricks, servers)) return 1;
+  } else {
+    if (brickd.empty()) {
+      const std::string self = argv[0];
+      const auto slash = self.find_last_of('/');
+      brickd = (slash == std::string::npos ? std::string(".")
+                                           : self.substr(0, slash)) +
+               "/brickd";
+    }
+    if (::access(brickd.c_str(), X_OK) != 0) {
+      std::fprintf(stderr, "cluster: brickd binary not executable: %s\n",
+                   brickd.c_str());
       return 1;
     }
-    brick.pid = spawn_brickd(brickd, brick);
-  }
-
-  // Readiness: every port file appears, or a brick died during boot.
-  const std::int64_t boot_deadline = now_ns() + 10'000'000'000LL;
-  for (auto& brick : bricks) {
-    while (brick.port == 0) {
-      if (const auto port = read_port_file(brick.port_file)) {
-        brick.port = *port;
-        break;
-      }
-      int status = 0;
-      if (::waitpid(brick.pid, &status, WNOHANG) == brick.pid) {
-        std::fprintf(stderr,
-                     "cluster: brick %u exited during boot (see %s)\n",
-                     brick.id, brick.log_path.c_str());
-        brick.pid = -1;
-        reap_all(bricks, flags.quiet);
-        return 1;
-      }
-      if (now_ns() > boot_deadline) {
-        std::fprintf(stderr, "cluster: brick %u never published its port\n",
-                     brick.id);
-        reap_all(bricks, flags.quiet);
-        return 1;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    // Pin the learned port so restarts of this config re-bind the same
-    // address and the clients' peer maps survive every kill.
-    if (!write_file(brick.config_path, config_for(brick, brick.port))) {
-      std::fprintf(stderr, "cluster: cannot rewrite %s\n",
-                   brick.config_path.c_str());
-      reap_all(bricks, flags.quiet);
-      return 1;
-    }
+    if (!flags.quiet)
+      std::fprintf(stderr, "cluster: run directory %s, brickd %s\n",
+                   dir.c_str(), brickd.c_str());
+    if (!boot_processes(flags, dir, brickd, bricks)) return 1;
   }
   if (!flags.quiet) {
     std::ostringstream ports;
@@ -825,6 +819,7 @@ int main(int argc, char** argv) {
     cache.invalidations += s.invalidations;
   }
   for (auto& client : clients) client->close();
+  servers.clear();
   reap_all(bricks, flags.quiet);
 
   // --- disk verification, oracle and summary --------------------------------
